@@ -42,6 +42,13 @@ cargo build --workspace --release --offline
 stage "test"
 cargo test --workspace -q --offline
 
+stage "perfbench"
+# The benchmark is a workspace of its own that builds against the crates'
+# public API by path, so the workspace stages above never compile it. Its
+# tests build it and run every workload at a shrunken scale, so an API
+# change that breaks the benchmark fails here.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 stage "bench smoke"
 # One-iteration shrunken runs so the bench binaries (and their JSON output
 # path) cannot bitrot. Real numbers live in the checked-in BENCH_RESULTS.json;

@@ -93,15 +93,6 @@ impl Graph {
         dist
     }
 
-    /// Minimum hop distance from `src` to any vertex in `targets`.
-    pub fn min_distance_to_any(&self, src: u32, targets: &[u32]) -> Option<u32> {
-        let dist = self.bfs_distances(src);
-        targets
-            .iter()
-            .filter_map(|&t| dist.get(t as usize).copied().flatten())
-            .min()
-    }
-
     /// Connected components as sorted vertex lists, largest first (ties by
     /// smallest vertex).
     pub fn components(&self) -> Vec<Vec<u32>> {
@@ -230,14 +221,6 @@ mod tests {
         let d = g.bfs_distances(0);
         assert_eq!(d[2], None);
         assert_eq!(d[3], None);
-    }
-
-    #[test]
-    fn min_distance_to_any_picks_closest_target() {
-        let g = path(6);
-        assert_eq!(g.min_distance_to_any(0, &[5, 2]), Some(2));
-        assert_eq!(g.min_distance_to_any(0, &[0]), Some(0));
-        assert_eq!(g.min_distance_to_any(0, &[]), None);
     }
 
     #[test]

@@ -110,15 +110,26 @@ impl FileMetrics {
     }
 
     /// Record one completed query for file index `file` (0-based rank).
-    /// `answer_dists` holds `(adhoc_hops, p2p_hops)` per answer; `oracle`
+    /// `answer_dists` yields `(adhoc_hops, p2p_hops)` per answer; `oracle`
     /// is the BFS distance from the requirer to the nearest holder over
     /// the radio connectivity graph, when one was reachable.
-    pub fn record(&mut self, file: usize, answer_dists: &[(u8, u8)], oracle: Option<u32>) {
+    pub fn record(
+        &mut self,
+        file: usize,
+        answer_dists: impl IntoIterator<Item = (u8, u8)>,
+        oracle: Option<u32>,
+    ) {
         let acc = &mut self.files[file];
         acc.requests += 1;
-        acc.answers += answer_dists.len() as u64;
-        if let Some(min_adhoc) = answer_dists.iter().map(|&(a, _)| a).min() {
-            let min_p2p = answer_dists.iter().map(|&(_, p)| p).min().unwrap();
+        let mut mins: Option<(u8, u8)> = None;
+        for (adhoc, p2p) in answer_dists {
+            acc.answers += 1;
+            mins = Some(match mins {
+                Some((a, p)) => (a.min(adhoc), p.min(p2p)),
+                None => (adhoc, p2p),
+            });
+        }
+        if let Some((min_adhoc, min_p2p)) = mins {
             acc.answered += 1;
             acc.min_dist_sum += min_adhoc as f64;
             acc.min_p2p_sum += min_p2p as f64;
@@ -170,9 +181,9 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut m = FileMetrics::new(3);
-        m.record(0, &[(3, 2), (1, 1), (5, 4)], Some(1));
-        m.record(0, &[], None);
-        m.record(1, &[(2, 2)], Some(2));
+        m.record(0, [(3, 2), (1, 1), (5, 4)], Some(1));
+        m.record(0, [], None);
+        m.record(1, [(2, 2)], Some(2));
         let f0 = m.file(0);
         assert_eq!(f0.requests, 2);
         assert_eq!(f0.answers, 3);
@@ -196,10 +207,10 @@ mod tests {
     #[test]
     fn merge_combines_runs() {
         let mut a = FileMetrics::new(2);
-        a.record(0, &[(2, 1)], Some(2));
+        a.record(0, [(2, 1)], Some(2));
         let mut b = FileMetrics::new(2);
-        b.record(0, &[(4, 3)], Some(4));
-        b.record(1, &[], None);
+        b.record(0, [(4, 3)], Some(4));
+        b.record(1, [], None);
         a.merge(&b);
         assert_eq!(a.file(0).requests, 2);
         assert_eq!(a.file(0).avg_min_distance(), 3.0);
@@ -209,8 +220,8 @@ mod tests {
     #[test]
     fn series_covers_first_k_ranks() {
         let mut m = FileMetrics::new(20);
-        m.record(0, &[(1, 1), (1, 1)], Some(1));
-        m.record(9, &[(4, 2)], Some(4));
+        m.record(0, [(1, 1), (1, 1)], Some(1));
+        m.record(9, [(4, 2)], Some(4));
         let s = m.series(10);
         assert_eq!(s.len(), 10);
         assert_eq!(s[0], (1, 1.0, 2.0));
@@ -236,7 +247,7 @@ mod tests {
     #[test]
     fn series_is_truncated_by_catalogue_size() {
         let mut m = FileMetrics::new(3);
-        m.record(2, &[(1, 1)], None);
+        m.record(2, [(1, 1)], None);
         let s = m.series(10);
         assert_eq!(s.len(), 3, "cannot report more ranks than tracked");
     }
@@ -244,7 +255,7 @@ mod tests {
     #[test]
     fn single_answerless_query_keeps_distances_undefined() {
         let mut m = FileMetrics::new(1);
-        m.record(0, &[], None);
+        m.record(0, [], None);
         let f = m.file(0);
         assert_eq!(f.requests, 1);
         assert_eq!(f.answered, 0);
@@ -257,7 +268,7 @@ mod tests {
     #[test]
     fn series_falls_back_to_observed_distance_without_oracle_samples() {
         let mut m = FileMetrics::new(1);
-        m.record(0, &[(3, 2)], None); // holder found, but oracle undefined
+        m.record(0, [(3, 2)], None); // holder found, but oracle undefined
         let s = m.series(1);
         assert_eq!(s[0], (1, 3.0, 1.0), "observed min distance stands in");
     }

@@ -8,6 +8,7 @@ pub mod errors;
 pub mod experiments;
 pub mod faults;
 pub mod invariants;
+pub(crate) mod oracle;
 pub mod payload;
 pub mod runner;
 pub mod scenario;

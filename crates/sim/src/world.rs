@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use crate::engine::{Engine, Event, SubCtx, Subsystem, SubsystemId};
 use crate::errors::ScenarioError;
+use crate::oracle::OracleScratch;
 use crate::scenario::{MobilityKind, Scenario};
 use crate::stack::{FrameUp, MemberState, NodeStack, OverlayLayer, PhyLayer, RoutingLayer};
 use crate::subsystems;
@@ -85,13 +86,18 @@ pub(crate) struct ObsState {
     pub(crate) registry: Registry,
     pub(crate) spans: SpanProfile,
     pub(crate) recorder: FlightRecorder,
-    /// Per-event-class dispatch counters: the hot half of the registry, a
-    /// plain slot bump per event, folded at sample points.
+    /// Per-event-class dispatch counters and the oracle's expansions: the
+    /// hot half of the registry, a plain slot bump per event, folded at
+    /// sample points.
     slab: Slab,
     sl_deliver: SlotId,
     sl_timer: SlotId,
     sl_join: SlotId,
     sl_sub: SlotId,
+    /// Nodes the Fig 5–6 oracle search expanded, summed over completed
+    /// queries: the cost of the metrics hook, which no protocol message
+    /// carries.
+    sl_oracle: SlotId,
     /// Hot-path histograms (broadcast fan-out, delivery hops), likewise
     /// folded at sample points.
     pub(crate) hists: HistSlab,
@@ -157,6 +163,7 @@ impl ObsState {
             sl_timer: slab.slot("des.dispatch.node_timer"),
             sl_join: slab.slot("des.dispatch.join"),
             sl_sub: slab.slot("des.dispatch.sub"),
+            sl_oracle: slab.slot("sim.oracle_visited"),
             hs_fanout: hists.slot("radio.broadcast_fanout"),
             hs_hops: hists.slot("sim.deliver_hops"),
             count_sub: true,
@@ -406,6 +413,9 @@ pub(crate) struct WorldCore {
     pub(crate) answers_received: u64,
     /// Reusable transmission-planning buffers (zero-alloc hot path).
     pub(crate) scratch: TxScratch,
+    /// Reusable buffers for the Fig 5–6 oracle distance each completed
+    /// query records (zero-alloc metrics hook).
+    pub(crate) oracle: OracleScratch,
     pub(crate) trace: TraceLog,
     /// Replication seed (kept for observability dump labels).
     pub(crate) seed: u64,
@@ -578,54 +588,29 @@ impl WorldCore {
         }
     }
 
+    /// Fold one completed query into the Figs 5–6 accumulators: its
+    /// answers, and the paper's "minimum number of hops from the source to
+    /// the peer holding the requested information" from the requirer to
+    /// the nearest up holder at completion time (`None` when no holder is
+    /// reachable).
     pub(crate) fn record_completed_query(&mut self, requirer: NodeId, done: &CompletedQuery) {
-        let dists: Vec<(u8, u8)> = done
-            .answers
-            .iter()
-            .map(|a| (a.adhoc_hops, a.p2p_hops))
-            .collect();
         self.answers_received += done.answers.len() as u64;
-        let oracle = self.oracle_distance(requirer, done.file.0 as usize);
-        self.file_metrics
-            .record(done.file.0 as usize, &dists, oracle);
-    }
-
-    /// The paper's Fig 5-6 distance: "the minimum number of hops from the
-    /// source to the peer holding the requested information" — a BFS over
-    /// the instantaneous radio connectivity graph from the requirer to the
-    /// *nearest* holder of the file. `None` when no holder is reachable.
-    fn oracle_distance(&self, requirer: NodeId, file: usize) -> Option<u32> {
-        let holders = &self.holders_by_file[file];
-        if holders.is_empty() {
-            return None;
+        let file = done.file.0 as usize;
+        let (oracle, expanded) = self.oracle.nearest(
+            &self.grid,
+            self.medium.cfg().range_m,
+            &self.hot_up,
+            requirer,
+            &self.holders_by_file[file],
+        );
+        if let Some(obs) = self.obs.on_mut() {
+            obs.slab.bump(obs.sl_oracle, expanded);
         }
-        let targets: Vec<u32> = holders
-            .iter()
-            .filter(|h| self.hot_up[h.index()])
-            .map(|h| h.0)
-            .collect();
-        let graph = self.connectivity_graph();
-        graph.min_distance_to_any(requirer.0, &targets)
-    }
-
-    /// The instantaneous radio connectivity graph over all (up) nodes.
-    pub(crate) fn connectivity_graph(&self) -> Graph {
-        let n = self.nodes.len();
-        let mut g = Graph::new(n);
-        let range = self.medium.cfg().range_m;
-        let mut buf = Vec::new();
-        for (id, pos) in self.grid.iter() {
-            if !self.hot_up[id as usize] {
-                continue;
-            }
-            self.grid.query_range(pos, range, id, &mut buf);
-            for &nb in &buf {
-                if nb > id && self.hot_up[nb as usize] {
-                    g.add_edge(id, nb);
-                }
-            }
-        }
-        g
+        self.file_metrics.record(
+            file,
+            done.answers.iter().map(|a| (a.adhoc_hops, a.p2p_hops)),
+            oracle,
+        );
     }
 
     /// The current overlay graph over members (established references,
@@ -1055,6 +1040,7 @@ impl World {
             holders_by_file,
             answers_received: 0,
             scratch: TxScratch::default(),
+            oracle: OracleScratch::default(),
             trace: TraceLog::with_seed(scenario.trace_capacity, seed),
             seed,
             obs: ObsSink::new(scenario.obs),
@@ -1292,7 +1278,8 @@ impl World {
 
     /// The instantaneous radio connectivity graph over all (up) nodes.
     pub fn connectivity_graph(&self) -> Graph {
-        self.core.connectivity_graph()
+        let core = &self.core;
+        crate::oracle::connectivity_graph(&core.grid, core.medium.cfg().range_m, &core.hot_up)
     }
 
     /// The current overlay graph over members (established references,
@@ -1371,6 +1358,50 @@ mod tests {
             b.counters.column(MsgKind::Ping)
         );
         assert_eq!(a.phy_total, b.phy_total);
+    }
+
+    #[test]
+    fn oracle_matches_bfs_over_the_public_connectivity_graph() {
+        // Mobile world, with a quarter of the nodes taken down at the end
+        // so the up mask matters too.
+        let mut s = Scenario::quick(40, AlgoKind::Regular, 120);
+        s.mobility = MobilityKind::Walk { max_speed: 2.0 };
+        let mut w = World::new(s, 11);
+        let mut checked = 0;
+        for phase in 0..3 {
+            if phase == 2 {
+                for id in (0..40).step_by(4) {
+                    w.core.hot_up[id] = false;
+                }
+            } else {
+                for _ in 0..2_000 {
+                    w.step();
+                }
+            }
+            let graph = w.connectivity_graph();
+            for from in 0..40u32 {
+                let dist = graph.bfs_distances(from);
+                for file in 0..w.core.holders_by_file.len() {
+                    let holders = &w.core.holders_by_file[file];
+                    let expect = holders
+                        .iter()
+                        .filter(|h| w.core.hot_up[h.index()])
+                        .filter_map(|h| dist[h.index()])
+                        .min();
+                    let core = &mut w.core;
+                    let (got, _) = core.oracle.nearest(
+                        &core.grid,
+                        core.medium.cfg().range_m,
+                        &core.hot_up,
+                        NodeId(from),
+                        &core.holders_by_file[file],
+                    );
+                    assert_eq!(got, expect, "phase {phase}, node {from}, file {file}");
+                    checked += expect.is_some() as usize;
+                }
+            }
+        }
+        assert!(checked > 100, "too few reachable holders to compare");
     }
 
     #[test]
