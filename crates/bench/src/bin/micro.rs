@@ -37,37 +37,6 @@ fn event_queue(h: &Harness) {
                 black_box(acc)
             });
         }
-        // Interleaved schedule/cancel/pop — the shape protocol retry timers
-        // produce, and what the stale-entry compaction exists for.
-        h.time(
-            &format!("event_queue/{sched}/cancel_churn/10000"),
-            20,
-            || {
-                let mut rng = Rng::new(2);
-                let mut q = EventQueue::with_scheduler(kind);
-                let mut pending = std::collections::VecDeque::new();
-                let mut acc = 0u64;
-                for i in 0..10_000u64 {
-                    let at = SimTime::from_ticks(q.now().ticks() + 1 + rng.below(1_000_000));
-                    pending.push_back(q.schedule(at, i));
-                    if pending.len() >= 8 {
-                        let id = pending.pop_front().expect("nonempty");
-                        if rng.below(2) == 0 {
-                            q.cancel(id);
-                        }
-                    }
-                    if i % 2 == 0 {
-                        if let Some((_, v)) = q.pop() {
-                            acc = acc.wrapping_add(v);
-                        }
-                    }
-                }
-                while let Some((_, v)) = q.pop() {
-                    acc = acc.wrapping_add(v);
-                }
-                black_box(acc)
-            },
-        );
     }
 }
 

@@ -33,6 +33,13 @@
 //! size is stable. All heuristics are pure functions of the push/pop
 //! sequence — no wall clock, no randomness — so runs stay deterministic and
 //! the pop order never changes.
+//!
+//! Storage tracks the live set: a flood parks a burst of near-simultaneous
+//! deliveries in one bucket, and a buffer that kept that high-water
+//! capacity after the burst drained would hold memory no live event uses.
+//! Popping drops the consumed prefix once it is half the buffer, shrinks a
+//! buffer left under a quarter full, and frees a drained one, so the
+//! retained slots stay within `8·items + 8·buckets`.
 
 use crate::queue::Item;
 
@@ -54,6 +61,11 @@ const TUNE_INTERVAL: u64 = 8192;
 
 /// Tolerated cursor window-visits per pop before retuning.
 const EFFORT_FACTOR: u64 = 16;
+
+/// Slots a bucket buffer may keep while idle or behind its head: a drained
+/// buffer larger than this is freed, and a consumed prefix shorter than
+/// this is left in place.
+const KEEP_SLOTS: usize = 8;
 
 /// One wheel slot: pending items sorted ascending by `(at, seq)` after a
 /// consumed prefix of `head` already-popped entries.
@@ -77,12 +89,27 @@ impl Bucket {
     }
 
     /// Remove and return the front item. Caller checks non-emptiness.
+    ///
+    /// Keeps the buffer proportional to the live tail: a drained buffer is
+    /// freed unless it is small, and once the consumed prefix is at least
+    /// half the buffer (and [`KEEP_SLOTS`] long) it is dropped, shrinking
+    /// a buffer left under a quarter full to twice its live length.
     fn take_front(&mut self) -> Item {
         let item = self.v[self.head];
         self.head += 1;
         if self.head == self.v.len() {
-            self.v.clear();
+            if self.v.capacity() > KEEP_SLOTS {
+                self.v = Vec::new();
+            } else {
+                self.v.clear();
+            }
             self.head = 0;
+        } else if self.head >= KEEP_SLOTS && self.head * 2 >= self.v.len() {
+            self.v.drain(..self.head);
+            self.head = 0;
+            if self.v.len() * 4 < self.v.capacity() {
+                self.v.shrink_to(self.v.len() * 2);
+            }
         }
         item
     }
@@ -117,7 +144,7 @@ pub(crate) struct CalendarQueue {
     /// Current window number: the cursor is at bucket `window % buckets`,
     /// and an item is *due* there iff `item.at / width == window`.
     window: u64,
-    /// Total items stored, live and lazily-cancelled alike.
+    /// Total items stored.
     items: usize,
     /// Time (ticks) of the most recently popped item. Pops are globally
     /// sorted, so this is the popped-time high-water mark.
@@ -237,43 +264,13 @@ impl CalendarQueue {
         self.push(item);
     }
 
-    /// Rewind the cursor to the window containing `now_ticks`.
-    ///
-    /// Needed when a scan consumed trailing lazily-cancelled items (moving
-    /// the cursor to their windows) without yielding a live event: a later
-    /// `push` between the cancelled items' times and `now` must not land
-    /// behind the cursor. Rewinding below the true minimum is always safe —
-    /// it only costs extra empty-bucket scanning.
-    pub(crate) fn reset_cursor(&mut self, now_ticks: u64) {
-        self.window = now_ticks / self.width;
-    }
-
-    /// Drop items failing the predicate (lazy-cancellation sweep).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Item) -> bool) {
-        let mut removed = 0usize;
-        for bucket in &mut self.buckets {
-            if bucket.head > 0 {
-                bucket.v.drain(..bucket.head);
-                bucket.head = 0;
-            }
-            bucket.v.retain(|item| {
-                let k = keep(item);
-                if !k {
-                    removed += 1;
-                }
-                k
-            });
-        }
-        self.items -= removed;
-        if self.items < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.buckets.len() / 2);
-        }
-    }
-
     /// Lifetime diagnostics: `[pops, window_visits, fallback_scans,
-    /// rebuilds, width, buckets, items]`. For tuning probes and tests.
-    pub(crate) fn stats(&self) -> [u64; 7] {
+    /// rebuilds, width, buckets, items, slots]`, where `slots` is the item
+    /// capacity the bucket buffers retain. For tuning probes, obs and
+    /// tests; O(buckets).
+    pub(crate) fn stats(&self) -> [u64; 8] {
         let [p, w, f, r] = self.stats;
+        let slots: usize = self.buckets.iter().map(|b| b.v.capacity()).sum();
         [
             p,
             w,
@@ -282,6 +279,7 @@ impl CalendarQueue {
             self.width,
             self.buckets.len() as u64,
             self.items as u64,
+            slots as u64,
         ]
     }
 
@@ -334,15 +332,15 @@ impl CalendarQueue {
     ///
     /// The cursor is re-derived from the start tick of the current window,
     /// which is ≤ every stored item's time, so the sweep invariant (nothing
-    /// behind the cursor) survives the rebuild.
+    /// behind the cursor) survives the rebuild. Every old buffer is taken
+    /// and freed, so no capacity sized for the old layout survives.
     fn rebuild(&mut self, new_len: usize) {
         let new_len = new_len.max(MIN_BUCKETS).next_power_of_two();
         let base = self.window.saturating_mul(self.width);
         let mut old: Vec<Item> = Vec::with_capacity(self.items);
         for b in &mut self.buckets {
-            old.extend_from_slice(&b.v[b.head..]);
-            b.v.clear();
-            b.head = 0;
+            old.extend_from_slice(b.live());
+            *b = Bucket::default();
         }
         self.width = self.sample_width(&old);
         if self.buckets.len() != new_len {
@@ -457,17 +455,55 @@ mod tests {
         assert_eq!(c.buckets.len(), MIN_BUCKETS, "wheel should shrink back");
     }
 
+    /// Retained slots stay within `8·items + 8·buckets`.
+    fn assert_slots_bounded(c: &CalendarQueue) {
+        let s = c.stats();
+        let (buckets, items, slots) = (s[5], s[6], s[7]);
+        assert!(
+            slots <= 8 * items + 8 * buckets,
+            "{slots} slots retained for {items} items in {buckets} buckets"
+        );
+    }
+
     #[test]
-    fn retain_drops_and_recounts() {
+    fn drained_bursts_do_not_pin_capacity() {
+        // Periodic timers keep the wheel at one size while each firing
+        // drops a flood-like burst of near-simultaneous items into one
+        // bucket, which then drains: over a run the bursts visit every
+        // bucket, and a buffer that kept its burst-sized capacity would
+        // hold far more slots than there are items.
+        const TIMERS: u64 = 64;
+        const BURST: u64 = 40;
+        const PERIOD: u64 = 1_000_000;
         let mut c = CalendarQueue::new();
-        for i in 0..100u64 {
-            c.push(item(i * 10, i));
+        let mut seq = 0u64;
+        for k in 0..TIMERS {
+            c.push(item(k * PERIOD / TIMERS, seq));
+            seq += 1;
         }
-        c.retain(|it| it.seq % 2 == 0);
-        assert_eq!(c.len(), 50);
-        let seqs: Vec<u64> = std::iter::from_fn(|| c.take_min()).map(|i| i.seq).collect();
-        assert!(seqs.iter().all(|s| s % 2 == 0));
-        assert_eq!(seqs.len(), 50);
+        let mut timer_seqs: std::collections::HashSet<u64> = (0..TIMERS).collect();
+        let mut last = (0u64, 0u64);
+        for pop in 1..=50_000u64 {
+            let it = c.take_min().expect("timers keep the queue non-empty");
+            let cur = (it.at.ticks(), it.seq);
+            assert!(cur >= last, "order violated: {cur:?} after {last:?}");
+            last = cur;
+            let now = it.at.ticks();
+            if timer_seqs.remove(&it.seq) {
+                for j in 0..BURST {
+                    c.push(item(now + 500 + j, seq));
+                    seq += 1;
+                }
+                c.push(item(now + PERIOD, seq));
+                timer_seqs.insert(seq);
+                seq += 1;
+            }
+            if pop % 1000 == 0 {
+                assert_slots_bounded(&c);
+            }
+        }
+        assert!(c.stats()[5] >= 32, "the wheel should have grown");
+        assert_slots_bounded(&c);
     }
 
     #[test]

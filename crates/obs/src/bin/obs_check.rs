@@ -2,8 +2,8 @@
 //!
 //! Usage: `obs_check <dir>`. Reads every `*.jsonl` file under `<dir>`
 //! (non-recursive), asserts each line parses as standalone JSON with a
-//! `type` field, and that the core counters the instrumented run is
-//! expected to export all appear somewhere in the directory. Also reads
+//! `type` field, and that the core counters and gauges the instrumented
+//! run is expected to export all appear somewhere in the directory. Also reads
 //! every `*.trace.json` causal-trace artifact and runs the full schema
 //! validation ([`manet_obs::causal::validate_artifact`]: trace-event
 //! quintet present, parents resolve, per-trace timestamps monotone) plus
@@ -17,10 +17,13 @@ use std::process::ExitCode;
 use manet_obs::causal;
 use manet_obs::json::Value;
 
-/// Core counters a DES (simulated-substrate) run always exports.
-const CORE_COUNTERS: [&str; 5] = [
+/// Core counters and gauges a DES (simulated-substrate) run always
+/// exports; `des.calendar.slots` is the fill level of the future-event
+/// list's bucket storage.
+const CORE_COUNTERS: [&str; 6] = [
     "des.events_popped",
     "des.calendar.retunes",
+    "des.calendar.slots",
     "radio.tx_planned",
     "aodv.rreq_dup_dropped",
     "sim.queries_issued",
@@ -57,7 +60,7 @@ fn main() -> ExitCode {
     let mut lines = 0usize;
     let mut trace_files = 0usize;
     let mut trace_events = 0usize;
-    let mut counters_seen: BTreeSet<String> = BTreeSet::new();
+    let mut names_seen: BTreeSet<String> = BTreeSet::new();
     for entry in entries.flatten() {
         let path = entry.path();
         if path
@@ -150,9 +153,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if ty == "counter" {
+            if ty == "counter" || ty == "gauge" {
                 if let Some(name) = v.get("name").and_then(Value::as_str) {
-                    counters_seen.insert(name.to_string());
+                    names_seen.insert(name.to_string());
                 }
             }
         }
@@ -166,23 +169,24 @@ fn main() -> ExitCode {
         let missing_from = |set: &[&'static str]| -> Vec<&'static str> {
             set.iter()
                 .copied()
-                .filter(|c| !counters_seen.contains(*c))
+                .filter(|c| !names_seen.contains(*c))
                 .collect()
         };
         let missing_des = missing_from(&CORE_COUNTERS);
         let missing_rt = missing_from(&RT_CORE_COUNTERS);
         if !missing_des.is_empty() && !missing_rt.is_empty() {
             eprintln!(
-                "obs_check: core counters missing from {dir}: DES set lacks {missing_des:?}, \
-                 RT set lacks {missing_rt:?} (saw {counters_seen:?})"
+                "obs_check: core counters/gauges missing from {dir}: DES set lacks {missing_des:?}, \
+                 RT set lacks {missing_rt:?} (saw {names_seen:?})"
             );
             return ExitCode::FAILURE;
         }
     }
     println!(
-        "obs_check: OK — {files} jsonl file(s), {lines} parseable line(s), {len} counter name(s), \
+        "obs_check: OK — {files} jsonl file(s), {lines} parseable line(s), \
+         {len} counter/gauge name(s), \
          {trace_files} trace artifact(s) with {trace_events} span(s)",
-        len = counters_seen.len()
+        len = names_seen.len()
     );
     ExitCode::SUCCESS
 }

@@ -271,7 +271,7 @@ impl Engine {
     }
 
     /// Calendar-scheduler statistics, when that backend is in use.
-    pub(crate) fn calendar_stats(&self) -> Option<[u64; 7]> {
+    pub(crate) fn calendar_stats(&self) -> Option<[u64; 8]> {
         match &self.backend {
             Backend::Seq(q) => q.calendar_stats(),
             Backend::Keyed(_) => None,

@@ -33,7 +33,7 @@ use manet_obs::{
 };
 use manet_radio::{EnergyMeter, LinkFaults, Medium, PhyStats, TxScratch};
 use p2p_content::{CompletedQuery, QueryEngine};
-use p2p_core::{build_algo, Role};
+use p2p_core::{build_algo, AlgoKind, Role};
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -127,6 +127,7 @@ pub(crate) struct ObsState {
     c_queries: CounterId,
     c_answers: CounterId,
     g_queue: GaugeId,
+    g_slots: GaugeId,
     s_pop: SpanId,
     s_dispatch: SpanId,
     pub(crate) s_plan: SpanId,
@@ -156,6 +157,7 @@ impl ObsState {
             c_queries: registry.counter("sim.queries_issued"),
             c_answers: registry.counter("sim.answers_received"),
             g_queue: registry.gauge("des.queue_depth"),
+            g_slots: registry.gauge("des.calendar.slots"),
             s_pop: spans.register("des.pop"),
             s_dispatch: spans.register("sim.dispatch"),
             s_plan: spans.register("radio.plan_broadcast"),
@@ -486,6 +488,7 @@ impl WorldCore {
                     .set(obs.c_scheduled, self.engine.scheduled_total());
                 if let Some(stats) = self.engine.calendar_stats() {
                     obs.registry.set(obs.c_retunes, stats[3]);
+                    obs.registry.set_gauge(obs.g_slots, stats[7] as f64);
                 }
                 obs.registry
                     .set_gauge(obs.g_queue, self.engine.len() as f64);
@@ -495,8 +498,8 @@ impl WorldCore {
                 // dispatch slab already decomposes pops into owned classes
                 // plus (shard 0 only) the shared Sub stream, so its total
                 // partitions the true event count across shards. Queue
-                // depth and scheduling totals are per-shard artifacts and
-                // stay 0.
+                // depth, retained calendar slots and scheduling totals are
+                // per-shard artifacts and stay 0.
                 let events = obs.slab.value(obs.sl_deliver)
                     + obs.slab.value(obs.sl_timer)
                     + obs.slab.value(obs.sl_join)
@@ -737,7 +740,9 @@ impl WorldCore {
                 }
             }
         }
-        if directed >= 8 && asymmetric * 2 > directed {
+        // Basic adopts one-way references by design (`ConnTable::adopt_basic`),
+        // so only the handshaking algorithms are held to symmetry.
+        if self.scenario.algo != AlgoKind::Basic && directed >= 8 && asymmetric * 2 > directed {
             v.push(format!(
                 "overlay symmetry: {asymmetric} of {directed} references one-sided"
             ));
@@ -1271,7 +1276,8 @@ impl World {
     /// (faults included); see `invariants` for the end-of-run conservation
     /// laws. Overlay symmetry is deliberately a soft check: the
     /// Connect/Accept/Confirm handshake leaves edges one-sided for a
-    /// message round-trip, so only a mostly-asymmetric overlay is flagged.
+    /// message round-trip, so only a mostly-asymmetric overlay is flagged,
+    /// and never under Basic, whose references are one-way by design.
     pub fn check_invariants(&self, now: SimTime) -> Vec<String> {
         self.core.check_invariants(now)
     }
@@ -1322,8 +1328,8 @@ mod tests {
             if now.ticks() >= next_dump {
                 if let Some(s) = w.core.engine.calendar_stats() {
                     eprintln!(
-                        "t={:>4}s pops={} winvisits={} fallbacks={} rebuilds={} width={} buckets={} items={}",
-                        now.ticks() / 1_000_000, s[0], s[1], s[2], s[3], s[4], s[5], s[6]
+                        "t={:>4}s pops={} winvisits={} fallbacks={} rebuilds={} width={} buckets={} items={} slots={}",
+                        now.ticks() / 1_000_000, s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
                     );
                 }
                 next_dump = now.ticks() + 30_000_000;
@@ -1358,6 +1364,29 @@ mod tests {
             b.counters.column(MsgKind::Ping)
         );
         assert_eq!(a.phy_total, b.phy_total);
+    }
+
+    #[test]
+    fn basic_overlay_is_not_held_to_symmetry() {
+        // Basic adopts one-way references, so at 150 nodes most of its
+        // overlay is one-sided at any instant: that is the algorithm, not
+        // a fault.
+        let mut w = World::new(Scenario::quick(150, AlgoKind::Basic, 120), 1);
+        let mut next_check = SimTime::from_secs(15);
+        let mut checks = 0;
+        while let Some(now) = w.step() {
+            if now >= next_check {
+                let v = w.check_invariants(now);
+                assert!(
+                    !v.iter().any(|m| m.contains("overlay symmetry")),
+                    "at {now}: {v:?}"
+                );
+                next_check = now + SimDuration::from_secs(15);
+                checks += 1;
+            }
+        }
+        assert!(checks >= 7, "only {checks} checks ran");
+        assert!(w.overlay_graph().edge_count() > 0, "no overlay formed");
     }
 
     #[test]

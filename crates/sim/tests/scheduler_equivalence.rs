@@ -37,8 +37,8 @@ fn fingerprints_are_reproducible_and_seed_sensitive() {
 
 #[test]
 fn equivalence_holds_under_churn_and_faults() {
-    // Churn cancels and reschedules timers heavily — the workload that
-    // exercises lazy cancellation, compaction and cursor rewinds hardest.
+    // Churn takes nodes down and up, rescheduling timers heavily — the
+    // workload that exercises cursor rewinds and wheel rebuilds hardest.
     let mut s = Scenario::quick(24, AlgoKind::Hybrid, 300);
     s.churn = Some(manet_sim::ChurnCfg {
         mean_uptime: 60.0,
